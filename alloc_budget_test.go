@@ -261,3 +261,38 @@ func TestAggBatchAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestRingMaintenanceAllocBudget gates steady-state ring maintenance: it
+// runs the BenchmarkRingMaintenance body (a converged 128-node cluster,
+// one virtual second per op) and fails if allocs/op exceeds the
+// checked-in budget, so per-message or per-timer allocations creeping
+// back into the overlay's stabilize, finger-repair and probe loops (or
+// the scheduler under them) trip the gate.
+func TestRingMaintenanceAllocBudget(t *testing.T) {
+	if os.Getenv("PIER_ALLOC_BUDGET") == "" {
+		t.Skip("set PIER_ALLOC_BUDGET=1 to enforce the allocation budget")
+	}
+	raw, err := os.ReadFile("alloc_budget.json")
+	if err != nil {
+		t.Fatalf("reading budget file: %v", err)
+	}
+	var budget struct {
+		RingMaintenance map[string]int64 `json:"ring_maintenance"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatalf("parsing alloc_budget.json: %v", err)
+	}
+	const key = "nodes=128"
+	limit, ok := budget.RingMaintenance[key]
+	if !ok {
+		t.Fatalf("alloc_budget.json has no ring_maintenance budget for %s", key)
+	}
+	res := testing.Benchmark(runRingMaintenance)
+	got := res.AllocsPerOp()
+	t.Logf("%s: %d allocs/op (budget %d), %d B/op, %s", key, got, limit, res.AllocedBytesPerOp(), res.String())
+	if got > limit {
+		t.Errorf("%s: %d allocs/op exceeds the checked-in budget of %d — ring maintenance allocates more "+
+			"per virtual second; if intentional, justify it and raise alloc_budget.json in the same change",
+			key, got, limit)
+	}
+}

@@ -655,6 +655,40 @@ func runEventThroughput(b *testing.B, workers int) {
 	}
 }
 
+// BenchmarkRingMaintenance measures steady-state ring maintenance: a
+// converged 128-node cluster (experiments.BuildCluster, the cold build
+// the figures use) left idle, so the work is the overlay's stabilize,
+// finger-repair and predecessor-probe loops with their request timers,
+// plus the query plane's periodic tree refreshes. One op advances 1 s of
+// virtual time, so allocs/op is the maintenance allocation rate of the
+// whole ring per virtual second; TestRingMaintenanceAllocBudget gates it.
+func BenchmarkRingMaintenance(b *testing.B) {
+	runRingMaintenance(b)
+}
+
+// runRingMaintenance is the body shared by the benchmark above and its
+// allocation-budget gate.
+func runRingMaintenance(b *testing.B) {
+	const (
+		nodes = 128
+		slice = time.Second
+	)
+	b.ReportAllocs()
+	env := sim.NewEnv(sim.Options{Seed: 1})
+	experiments.BuildCluster(env, nodes, "n")
+	env.Run(10 * slice) // past the build's last joins and tree announces
+	start, _, _ := env.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Run(slice)
+	}
+	b.StopTimer()
+	ev, _, _ := env.Stats()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(ev-start)/secs, "events/s")
+	}
+}
+
 // BenchmarkQueryStormDispatch measures the multi-tenant newData hot path:
 // an 8-node cluster runs `queries` concurrent continuous queries over one
 // table while every node publishes a steady local event stream. Each

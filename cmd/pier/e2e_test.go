@@ -39,8 +39,10 @@ func TestPierEndToEnd(t *testing.T) {
 	member.expect(t, `^joined the overlay via (\S+)$`, 20*time.Second)
 	member.expect(t, `^published (5) demo tuples$`, 10*time.Second)
 
-	// Give the soft-state publishes a moment to land in the DHT.
-	time.Sleep(2 * time.Second)
+	// The member's first tree announce is otherwise staggered by up to
+	// a refresh period; wait until its trees confirm it, so the query
+	// broadcast reaches the node holding the demo tuples.
+	member.expect(t, `^ready: joined the query distribution trees$`, 20*time.Second)
 
 	// Client mode: query through the bootstrap node as proxy.
 	client := exec.Command(bin,

@@ -81,10 +81,18 @@ func runNode(bind, join string, demo int) {
 	if demo > 0 {
 		fmt.Printf("published %d demo tuples\n", demo)
 	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
-	<-sig
+	// Announce into the distribution trees now and report once every
+	// tree has confirmed: from then on queries from any proxy reach us.
+	ready := make(chan struct{})
+	rt.Schedule(0, func() { node.AnnounceTrees(func() { close(ready) }) })
+	select {
+	case <-ready:
+		fmt.Println("ready: joined the query distribution trees")
+		<-sig
+	case <-sig:
+	}
 	fmt.Println("\nshutting down")
 	node.Stop()
 }

@@ -16,7 +16,45 @@ type nodeRef struct {
 
 func (n nodeRef) valid() bool { return n.addr != "" }
 
-func ref(addr vri.Addr) nodeRef { return nodeRef{addr: addr, id: HashNodeAddr(addr)} }
+// idMemoSlots sizes the per-router identifier memo. A router resolves a
+// few dozen distinct peers over and over (its successors, fingers, and
+// the origins of traffic it forwards), so a small direct-mapped table
+// catches nearly every repeat.
+const idMemoSlots = 64
+
+// idMemo is a direct-mapped addr→ID cache in front of HashNodeAddr.
+// Ring maintenance names peers by address on the wire, so without it
+// every stabilize reply, notify and routed origin costs a SHA-1.
+// Identifiers stay off the wire (they would add bytes to every
+// maintenance message). The memo is a pure function cache: a slot
+// holding a different address is overwritten, so a collision costs one
+// hash and never a wrong ID.
+type idMemo [idMemoSlots]struct {
+	addr vri.Addr
+	id   ID
+}
+
+// ref returns addr's nodeRef, hashing only on a memo miss.
+func (m *idMemo) ref(addr vri.Addr) nodeRef {
+	if addr == "" { // an unused slot holds "", so it would match
+		return nodeRef{id: HashNodeAddr(addr)}
+	}
+	s := &m[memoSlot(addr)]
+	if s.addr != addr {
+		s.addr, s.id = addr, HashNodeAddr(addr)
+	}
+	return nodeRef{addr: addr, id: s.id}
+}
+
+// memoSlot picks addr's memo slot with FNV-1a.
+func memoSlot(addr vri.Addr) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(addr); i++ {
+		h ^= uint32(addr[i])
+		h *= 16777619
+	}
+	return int(h % idMemoSlots)
+}
 
 // RouterConfig tunes the ring-maintenance protocol. Zero values select
 // defaults suitable for both simulation and small real deployments.
@@ -34,10 +72,10 @@ type RouterConfig struct {
 	// Default 4.
 	SuccessorListLen int
 	// RequestTimeout bounds lookups, pings and stabilize exchanges.
-	// Default 3s.
+	// Default 10s.
 	RequestTimeout time.Duration
 	// MaxHops bounds multi-hop routing to break cycles under churn.
-	// Default 64.
+	// Default 200.
 	MaxHops int
 }
 
@@ -95,6 +133,13 @@ type router struct {
 	// ring maintenance allocates no payload bytes on the sender side.
 	scratch *wire.Writer
 
+	// ids memoizes HashNodeAddr for the peers this router keeps meeting.
+	ids idMemo
+	// sample is fingerSample's reused output buffer.
+	sample []vri.Addr
+
+	// timers holds the live handle of each maintenance loop (stabilize,
+	// fix-fingers, check-predecessor); each re-arm replaces its slot.
 	timers  []vri.Timer
 	stopped bool
 
@@ -117,10 +162,10 @@ func newRouter(rt vri.Runtime, cfg RouterConfig) *router {
 	r := &router{
 		rt:      rt,
 		cfg:     cfg,
-		self:    ref(rt.Addr()),
 		pending: make(map[uint64]*pendingReq),
 		scratch: wire.NewWriter(256),
 	}
+	r.self = r.ids.ref(rt.Addr())
 	r.succs = []nodeRef{r.self} // alone in the ring: own successor
 	return r
 }
@@ -136,27 +181,27 @@ func (r *router) start() {
 			return
 		}
 		r.stabilize()
-		r.timers = append(r.timers, r.rt.Schedule(jitter(r.cfg.StabilizeInterval), stabilize))
+		r.timers[0] = r.rt.Schedule(jitter(r.cfg.StabilizeInterval), stabilize)
 	}
 	fixFingers = func() {
 		if r.stopped {
 			return
 		}
 		r.fixNextFinger()
-		r.timers = append(r.timers, r.rt.Schedule(jitter(r.cfg.FixFingerInterval), fixFingers))
+		r.timers[1] = r.rt.Schedule(jitter(r.cfg.FixFingerInterval), fixFingers)
 	}
 	checkPred = func() {
 		if r.stopped {
 			return
 		}
 		r.checkPredecessor()
-		r.timers = append(r.timers, r.rt.Schedule(jitter(r.cfg.CheckPredInterval), checkPred))
+		r.timers[2] = r.rt.Schedule(jitter(r.cfg.CheckPredInterval), checkPred)
 	}
-	r.timers = append(r.timers,
+	r.timers = []vri.Timer{
 		r.rt.Schedule(jitter(r.cfg.StabilizeInterval), stabilize),
 		r.rt.Schedule(jitter(r.cfg.FixFingerInterval), fixFingers),
 		r.rt.Schedule(jitter(r.cfg.CheckPredInterval), checkPred),
-	)
+	}
 }
 
 func (r *router) stop() {
@@ -407,7 +452,7 @@ func (r *router) stabilize() {
 			r.learnPeer(a)
 		}
 		if predAddr != "" {
-			x := ref(predAddr)
+			x := r.ids.ref(predAddr)
 			if BetweenOpen(x.id, r.self.id, r.successor().id) {
 				r.succs = append([]nodeRef{x}, r.succs...)
 			}
@@ -416,7 +461,7 @@ func (r *router) stabilize() {
 		list := []nodeRef{r.successor()}
 		for _, a := range succAddrs {
 			if a != r.self.addr {
-				list = append(list, ref(a))
+				list = append(list, r.ids.ref(a))
 			}
 		}
 		r.succs = list
@@ -440,7 +485,7 @@ func (r *router) learnPeer(addr vri.Addr) {
 	if addr == "" || addr == r.self.addr {
 		return
 	}
-	n := ref(addr)
+	n := r.ids.ref(addr)
 	d := Distance(r.self.id, n.id)
 	if d == 0 {
 		return
@@ -492,7 +537,7 @@ func (r *router) checkPredecessor() {
 
 // onNotify handles a peer's claim to be our predecessor.
 func (r *router) onNotify(addr vri.Addr) {
-	n := ref(addr)
+	n := r.ids.ref(addr)
 	if n.addr == r.self.addr {
 		return
 	}
@@ -506,21 +551,34 @@ func (r *router) onNotify(addr vri.Addr) {
 }
 
 // fingerSample returns the valid finger addresses (deduplicated) for
-// stabilization gossip, capped to keep maintenance messages small.
+// stabilization gossip, capped to keep maintenance messages small. The
+// result is the router's reused buffer, valid until the next call;
+// callers encode or count it synchronously.
 func (r *router) fingerSample(max int) []vri.Addr {
-	seen := make(map[vri.Addr]bool)
-	var out []vri.Addr
+	out := r.sample[:0]
 	for _, f := range r.fingers {
-		if !f.valid() || f.addr == r.self.addr || seen[f.addr] {
+		if !f.valid() || f.addr == r.self.addr || containsAddr(out, f.addr) {
 			continue
 		}
-		seen[f.addr] = true
 		out = append(out, f.addr)
 		if len(out) >= max {
 			break
 		}
 	}
+	r.sample = out
 	return out
+}
+
+// containsAddr reports whether addr is in list. The lists deduplicated
+// with it hold at most a few dozen entries, where a linear scan beats
+// building a set.
+func containsAddr(list []vri.Addr, addr vri.Addr) bool {
+	for _, a := range list {
+		if a == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // dropPeer removes a dead node from all routing state.
@@ -555,19 +613,26 @@ func (r *router) dropPeer(addr vri.Addr) {
 }
 
 func (r *router) trimSuccs() {
-	// Dedup while preserving order, then cap the list length.
-	seen := make(map[vri.Addr]bool, len(r.succs))
+	// Keep the first SuccessorListLen distinct valid entries, in order.
+	// Stopping at the cap bounds the scan by the list length a peer's
+	// stabilize reply can claim, times the small cap.
 	out := r.succs[:0]
+next:
 	for _, s := range r.succs {
-		if s.valid() && !seen[s.addr] {
-			seen[s.addr] = true
-			out = append(out, s)
+		if len(out) == r.cfg.SuccessorListLen {
+			break
 		}
+		if !s.valid() {
+			continue
+		}
+		for _, o := range out {
+			if o.addr == s.addr {
+				continue next
+			}
+		}
+		out = append(out, s)
 	}
 	r.succs = out
-	if len(r.succs) > r.cfg.SuccessorListLen {
-		r.succs = r.succs[:r.cfg.SuccessorListLen]
-	}
 	if len(r.succs) == 0 {
 		r.succs = []nodeRef{r.self}
 	}
@@ -610,7 +675,7 @@ func (r *router) restore(rd *wire.Reader) error {
 	succs := make([]nodeRef, 0, ns)
 	for i := 0; i < int(ns) && rd.Err() == nil; i++ {
 		if a := vri.Addr(rd.String()); a != "" {
-			succs = append(succs, ref(a))
+			succs = append(succs, r.ids.ref(a))
 		}
 	}
 	nf := rd.U8()
@@ -619,7 +684,7 @@ func (r *router) restore(rd *wire.Reader) error {
 		slot := rd.U8()
 		a := vri.Addr(rd.String())
 		if int(slot) < len(fingers) && a != "" {
-			fingers[slot] = ref(a)
+			fingers[slot] = r.ids.ref(a)
 		}
 	}
 	next := rd.U8()
@@ -627,7 +692,7 @@ func (r *router) restore(rd *wire.Reader) error {
 		return err
 	}
 	if pred != "" && pred != r.self.addr {
-		r.pred = ref(pred)
+		r.pred = r.ids.ref(pred)
 	}
 	if len(succs) > 0 {
 		r.succs = succs

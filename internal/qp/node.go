@@ -300,6 +300,14 @@ func (n *Node) Join(bootstrap vri.Addr, done func(error)) {
 	n.dht.Join(bootstrap, done)
 }
 
+// AnnounceTrees announces this node to every query distribution tree
+// now, instead of at the staggered first announce or the next refresh,
+// and calls done once every tree's first hop has confirmed the announce.
+// From then on, broadcast queries reach this node. It is a readiness
+// signal for deployments that must know when a freshly joined node can
+// answer; call it on the node's event loop, after Join completes.
+func (n *Node) AnnounceTrees(done func()) { n.trees.announceNow(done) }
+
 // Stop halts query execution and the overlay.
 func (n *Node) Stop() {
 	if !n.started {

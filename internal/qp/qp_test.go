@@ -535,3 +535,42 @@ opgraph g disseminate broadcast {
 		t.Fatalf("eddy plan returned %d rows, want 2", len(results))
 	}
 }
+
+// AnnounceTrees is the readiness signal of a freshly joined node: done
+// fires only after every tree's first hop recorded the node as a child
+// (or the node owns that tree's root), well before the staggered first
+// announce could be relied on.
+func TestAnnounceTreesSignalsReadiness(t *testing.T) {
+	env := sim.NewEnv(sim.Options{Seed: 5})
+	sims := env.SpawnN("node", 2)
+	nodes := make([]*Node, 2)
+	for i, s := range sims {
+		nodes[i] = NewNode(s, Config{NumTrees: 2})
+		if err := nodes[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	joined := false
+	nodes[1].Join(nodes[0].Addr(), func(err error) {
+		if err != nil {
+			t.Fatalf("join: %v", err)
+		}
+		joined = true
+	})
+	env.Run(500 * time.Millisecond)
+	if !joined {
+		t.Fatal("join did not complete")
+	}
+	ready := 0
+	nodes[1].AnnounceTrees(func() { ready++ })
+	env.Run(time.Second)
+	if ready != 1 {
+		t.Fatalf("readiness callback ran %d times, want once", ready)
+	}
+	for _, tr := range nodes[1].trees.trees {
+		root := overlay.HashName(treeNS, tr.rootKey)
+		if _, child := nodes[0].trees.trees[tr.idx].children[nodes[1].Addr()]; !child && !nodes[1].dht.Owns(root) {
+			t.Fatalf("tree %d: ready, but %s is neither a child of %s nor the root", tr.idx, nodes[1].Addr(), nodes[0].Addr())
+		}
+	}
+}

@@ -64,6 +64,11 @@ type distTrees struct {
 	repairs    uint64 // children dropped on a forward nack
 	reinjects  uint64 // payload re-routes toward a root (repair + root retry)
 	rejoins    uint64 // early re-announces (parent evicted or announce lost)
+
+	// onJoined, if set, runs once every tree with awaitJoin set has had
+	// an announce confirmed; see Node.AnnounceTrees.
+	onJoined func()
+	unjoined int
 }
 
 // distTree is one of the node's redundant distribution trees.
@@ -81,6 +86,9 @@ type distTree struct {
 	// announceFn is the pre-bound announce closure (one alloc per tree,
 	// not per refresh).
 	announceFn func()
+	// awaitJoin marks a tree whose confirmation Node.AnnounceTrees is
+	// still waiting for.
+	awaitJoin bool
 }
 
 // treeNS is the DHT namespace carrying tree-join traffic for every tree;
@@ -180,10 +188,39 @@ func (t *distTree) announce() {
 		func(ok bool) {
 			if !ok {
 				t.rejoin()
+				return
+			}
+			if t.awaitJoin {
+				t.awaitJoin = false
+				ts.unjoined--
+				if ts.unjoined == 0 {
+					done := ts.onJoined
+					ts.onJoined = nil
+					done()
+				}
 			}
 		},
 		func(hop vri.Addr) { t.parent = hop })
 	t.refresh = n.rt.Schedule(n.cfg.TreeRefresh, t.announceFn)
+}
+
+// announceNow announces this node to every tree immediately and calls
+// done once each announce has been confirmed (retrying lost ones as
+// usual). It replaces the pending staggered or refresh announce, so the
+// tree timers stay one per tree.
+func (ts *distTrees) announceNow(done func()) {
+	if ts.stopped {
+		return
+	}
+	ts.onJoined = done
+	ts.unjoined = len(ts.trees)
+	for _, t := range ts.trees {
+		t.awaitJoin = true
+		if t.refresh != nil {
+			t.refresh.Cancel()
+		}
+		t.announce()
+	}
 }
 
 // rejoin re-announces early (jittered backoff), collapsing onto the

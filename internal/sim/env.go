@@ -22,6 +22,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -61,13 +62,19 @@ const (
 // context recycles the struct, so no reference to an *event may be
 // retained past dispatch except through a timerHandle, which carries the
 // generation it was issued for and goes inert once the event recycles.
+//
+// at is virtual time as int64 nanoseconds since the environment's clock
+// origin (see Env.origin): comparing two int64s is far cheaper than
+// comparing time.Time values, and the struct carries no *time.Location
+// for the garbage collector to scan.
 type event struct {
-	at        time.Time
+	at        int64
 	src       uint64
 	seq       uint64
 	node      *Node // nil for environment-level events
 	kind      eventKind
 	cancelled bool
+	queued    bool     // in a heap (not popped, not in an outbox lane)
 	ackOK     bool     // evAck: the outcome to report
 	port      vri.Port // evDeliver: destination port
 
@@ -86,8 +93,8 @@ type event struct {
 }
 
 func (ev *event) before(other *event) bool {
-	if !ev.at.Equal(other.at) {
-		return ev.at.Before(other.at)
+	if ev.at != other.at {
+		return ev.at < other.at
 	}
 	if ev.src != other.src {
 		return ev.src < other.src
@@ -143,8 +150,14 @@ func (o *Options) fill() {
 // Env is the Simulation Environment: virtual clock, Main Scheduler, node
 // demultiplexer, and network model.
 type Env struct {
-	opts   Options
-	now    time.Time
+	opts Options
+	// origin anchors the virtual clock: every internal timestamp (event
+	// keys, now, node clocks, window bounds) is int64 nanoseconds since
+	// origin, and the public edges (Now, Schedule, RunUntil, congestion,
+	// trace) convert with toTime/fromTime. It starts as Options.Start and
+	// SetNow moves it, so Now keeps the caller's instant and Location.
+	origin time.Time
+	now    int64
 	seq    uint64 // environment-source event counter
 	queue  eventHeap
 	nodes  map[vri.Addr]*Node
@@ -194,7 +207,7 @@ func NewEnv(opts Options) *Env {
 	opts.fill()
 	return &Env{
 		opts:    opts,
-		now:     opts.Start,
+		origin:  opts.Start,
 		nodes:   make(map[vri.Addr]*Node),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		perNode: make(map[vri.Addr]*NodeTraffic),
@@ -204,7 +217,25 @@ func NewEnv(opts Options) *Env {
 // Now returns the current virtual time. Inside a node's event handler
 // under the sharded scheduler, use the node's Now instead: the
 // environment clock only advances at window barriers there.
-func (e *Env) Now() time.Time { return e.now }
+func (e *Env) Now() time.Time { return e.toTime(e.now) }
+
+// toTime converts internal virtual nanoseconds to a public time.Time.
+func (e *Env) toTime(ns int64) time.Time { return e.origin.Add(time.Duration(ns)) }
+
+// fromTime converts a public time.Time to internal virtual nanoseconds,
+// saturating at the int64 range (about 292 years either side of origin).
+func (e *Env) fromTime(t time.Time) int64 { return int64(t.Sub(e.origin)) }
+
+// addSat returns ns+d, saturating instead of wrapping on overflow, so an
+// absurdly long delay (a client's query timeout, say) lands at the end
+// of time rather than in the past.
+func addSat(ns int64, d time.Duration) int64 {
+	s := ns + int64(d)
+	if d > 0 && s < ns {
+		return math.MaxInt64
+	}
+	return s
+}
 
 // Rand returns the environment-level random source (used by workload
 // generators and churn injection; nodes have their own streams). It must
@@ -226,17 +257,20 @@ func (e *Env) SetNow(t time.Time) {
 	if len(e.nodes) != 0 {
 		panic("sim: SetNow after Spawn; rebase the clock before populating the environment")
 	}
-	if len(e.queue) != 0 {
+	if len(e.queue.q) != 0 {
 		panic("sim: SetNow with pending events")
 	}
 	if e.par != nil {
 		for _, sh := range e.par.shards {
-			if len(sh.heap) != 0 {
+			if len(sh.heap.q) != 0 {
 				panic("sim: SetNow with pending events")
 			}
 		}
 	}
-	e.now = t
+	// Nothing holds an internal timestamp yet, so moving the origin is
+	// a pure relabelling: the clock reads t exactly, Location included.
+	e.origin = t
+	e.now = 0
 }
 
 // AtBarrier reports whether the environment is at a driver barrier: the
@@ -276,8 +310,8 @@ func (e *Env) Traffic(addr vri.Addr) NodeTraffic {
 // which shard's structures the event is routed through. Both scheduler
 // modes key events identically, so their dispatch orders (and therefore
 // all simulation results) coincide exactly.
-func (e *Env) newEvent(src *Node, at time.Time, target *Node) *event {
-	var base time.Time
+func (e *Env) newEvent(src *Node, at int64, target *Node) *event {
+	var base int64
 	var ev *event
 	if p := e.par; p != nil && p.inWindow && src != nil {
 		// Worker context: the source's clock and the source shard's pool,
@@ -288,7 +322,7 @@ func (e *Env) newEvent(src *Node, at time.Time, target *Node) *event {
 		base = e.now
 		ev = e.pool.getEvent()
 	}
-	if at.Before(base) {
+	if at < base {
 		at = base
 	}
 	ev.at = at
@@ -336,7 +370,7 @@ func (e *Env) enqueue(src *Node, ev *event) {
 // scheduleFrom enqueues fn to run at time at on behalf of target,
 // attributed to scheduling source src. It is the closure-bodied (evFunc)
 // event constructor; the delivery hot path builds typed events directly.
-func (e *Env) scheduleFrom(src *Node, at time.Time, target *Node, fn func()) *event {
+func (e *Env) scheduleFrom(src *Node, at int64, target *Node, fn func()) *event {
 	ev := e.newEvent(src, at, target)
 	ev.kind = evFunc
 	ev.fn = fn
@@ -348,13 +382,13 @@ func (e *Env) scheduleFrom(src *Node, at time.Time, target *Node, fn func()) *ev
 // current clock (the node's own event time inside a sharded window, the
 // environment clock otherwise).
 func (e *Env) scheduleAfter(src *Node, delay time.Duration, target *Node, fn func()) *event {
-	var base time.Time
+	var base int64
 	if p := e.par; p != nil && p.inWindow && src != nil {
 		base = src.now
 	} else {
 		base = e.now
 	}
-	return e.scheduleFrom(src, base.Add(delay), target, fn)
+	return e.scheduleFrom(src, addSat(base, delay), target, fn)
 }
 
 // timerAfter wraps scheduleAfter in a generation-pinned handle. It
@@ -402,7 +436,7 @@ func (e *Env) runDeliver(ev *event) {
 			ov, _ := nv.link(dst.addr, ev.from.addr)
 			back += ov.extraLatency
 		}
-		ae := e.newEvent(dst, dst.timeNow().Add(back), ev.from)
+		ae := e.newEvent(dst, dst.timeNow()+int64(back), ev.from)
 		ae.kind = evAck
 		ae.ack = ev.ack
 		ae.ackOK = true
@@ -430,7 +464,7 @@ func (e *Env) nackDroppedDeliver(ev *event) {
 		return
 	}
 	dst := ev.node
-	ae := e.newEvent(dst, ev.at.Add(e.opts.AckTimeout), ev.from)
+	ae := e.newEvent(dst, addSat(ev.at, e.opts.AckTimeout), ev.from)
 	ae.kind = evAck
 	ae.ack = ev.ack
 	ae.ackOK = false
@@ -447,17 +481,25 @@ func (e *Env) Schedule(delay time.Duration, fn func()) vri.Timer {
 	if e.par != nil && e.par.inWindow {
 		panic("sim: Env.Schedule called from a node event under the sharded scheduler; use Node.Schedule")
 	}
-	ev := e.scheduleFrom(nil, e.now.Add(delay), nil, fn)
-	return timerHandle{ev, ev.gen.Load()}
+	ev := e.scheduleFrom(nil, addSat(e.now, delay), nil, fn)
+	return envTimer{e, timerHandle{ev, ev.gen.Load()}}
 }
 
 // timerHandle implements vri.Timer over a pooled event. gen pins the
 // incarnation the handle was issued for: once the event dispatches and
 // recycles, the generations diverge and Cancel goes inert instead of
-// cancelling whatever event reused the struct.
+// cancelling whatever event reused the struct. Node timers reach their
+// environment through ev.node; environment-level timers (Env.Schedule)
+// have no node and carry the environment in an envTimer instead.
 type timerHandle struct {
 	ev  *event
 	gen uint32
+}
+
+// envTimer is the handle of an environment-level timer.
+type envTimer struct {
+	env *Env
+	timerHandle
 }
 
 // Cancel is subject to the same ownership rule as every timer in this
@@ -479,8 +521,39 @@ type timerHandle struct {
 // nothing is written.
 func (t timerHandle) Cancel() {
 	if t.ev.gen.Load() == t.gen {
-		t.ev.cancelled = true
+		t.ev.node.env.cancel(t.ev)
 	}
+}
+
+// Cancel is timerHandle.Cancel for an environment-level timer.
+func (t envTimer) Cancel() {
+	if t.ev.gen.Load() == t.gen {
+		t.env.cancel(t.ev)
+	}
+}
+
+// cancel marks a pending event dead. If it is queued in a heap, the
+// heap's dead count rises and may trigger compaction, which runs in the
+// calling context; that is sound for the same reason the cancelled
+// write is: the caller owns the context that scheduled the timer, and
+// node timers are always queued in their own node's heap. An event that
+// is not queued is either dispatching right now (a timer cancelling
+// itself from its own callback) or still in an outbox lane, where push
+// counts it on merge.
+func (e *Env) cancel(ev *event) {
+	if ev.cancelled {
+		return
+	}
+	ev.cancelled = true
+	if !ev.queued {
+		return
+	}
+	if p := e.par; p != nil && ev.node != nil {
+		sh := p.shards[ev.node.shard]
+		sh.heap.noteCancelled(&sh.pool)
+		return
+	}
+	e.queue.noteCancelled(&e.pool)
 }
 
 // Step dispatches the single next event, advancing virtual time. It
@@ -490,7 +563,7 @@ func (e *Env) Step() bool {
 	if e.par != nil {
 		panic("sim: Step requires the sequential scheduler; call SetWorkers(0) first")
 	}
-	for len(e.queue) > 0 {
+	for len(e.queue.q) > 0 {
 		ev := e.queue.pop()
 		if ev.cancelled {
 			e.pool.putEvent(ev)
@@ -518,31 +591,35 @@ func (e *Env) Step() bool {
 // Run dispatches events until the queue is empty or virtual time would
 // exceed the given duration from the current time.
 func (e *Env) Run(d time.Duration) {
-	e.RunUntil(e.now.Add(d))
+	e.runUntil(addSat(e.now, d))
 }
 
 // RunUntil dispatches events until the queue is empty or the next event
 // is after deadline; virtual time ends at deadline.
 func (e *Env) RunUntil(deadline time.Time) {
+	e.runUntil(e.fromTime(deadline))
+}
+
+func (e *Env) runUntil(deadline int64) {
 	if e.par != nil {
 		e.par.run(e, deadline, false)
 		return
 	}
-	for len(e.queue) > 0 {
+	for len(e.queue.q) > 0 {
 		// Peek without popping. Cancelled events and events for failed
 		// nodes are discarded here rather than left to Step: Step skips
 		// them and dispatches the next live event, so a skippable head
 		// with at <= deadline would let an event PAST the deadline run
 		// and drag the clock beyond it — a boundary overrun the sharded
 		// scheduler (correctly) never makes.
-		next := e.queue[0]
+		next := e.queue.q[0]
 		if next.cancelled || (next.node != nil && !next.node.alive) {
 			ev := e.queue.pop()
 			e.nackDroppedDeliver(ev)
 			e.pool.putEvent(ev)
 			continue
 		}
-		if next.at.After(deadline) {
+		if next.at > deadline {
 			break
 		}
 		e.Step()
@@ -550,7 +627,7 @@ func (e *Env) RunUntil(deadline time.Time) {
 			e.pruneCongestion(e.now)
 		}
 	}
-	if e.now.Before(deadline) {
+	if e.now < deadline {
 		e.now = deadline
 	}
 	e.pruneCongestion(e.now)
@@ -560,7 +637,7 @@ func (e *Env) RunUntil(deadline time.Time) {
 // tests that want quiescence.
 func (e *Env) Drain() {
 	if e.par != nil {
-		e.par.run(e, time.Time{}, true)
+		e.par.run(e, 0, true)
 		return
 	}
 	for e.Step() {
@@ -578,9 +655,9 @@ const pruneEvery = 1 << 16
 // qualifies (schedules clamp to it); the sharded engine passes the
 // minimum pending event time across shards instead, since a shard's
 // clock may trail the environment clock by up to one lookahead window.
-func (e *Env) pruneCongestion(before time.Time) {
+func (e *Env) pruneCongestion(before int64) {
 	if p, ok := e.opts.Congestion.(Prunable); ok {
-		p.Prune(before)
+		p.Prune(e.toTime(before))
 	}
 }
 
@@ -681,10 +758,10 @@ func (e *Env) LiveAddrs() []vri.Addr {
 	return out
 }
 
-func (e *Env) trace(at time.Time, format string, args ...any) {
+func (e *Env) trace(at int64, format string, args ...any) {
 	if e.opts.Trace != nil {
 		e.traceMu.Lock()
-		e.opts.Trace(fmt.Sprintf("%s "+format, append([]any{at.Format("15:04:05.000")}, args...)...))
+		e.opts.Trace(fmt.Sprintf("%s "+format, append([]any{e.toTime(at).Format("15:04:05.000")}, args...)...))
 		e.traceMu.Unlock()
 	}
 }
@@ -713,9 +790,11 @@ func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte,
 	src.traf.MsgsOut++
 	src.traf.BytesOut += uint64(len(payload))
 	size := len(payload) + 48 // crude header overhead
-	departure := e.opts.Congestion.Departure(now, src.addr, dst, size)
-	latency := e.opts.Topology.Latency(src.addr, dst)
-	arrival := departure.Add(latency)
+	departure := now
+	if _, none := e.opts.Congestion.(NoCongestion); !none {
+		departure = e.fromTime(e.opts.Congestion.Departure(e.toTime(now), src.addr, dst, size))
+	}
+	arrival := departure + int64(e.opts.Topology.Latency(src.addr, dst))
 
 	var lost bool
 	if e.opts.LossRate > 0 {
@@ -731,7 +810,7 @@ func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte,
 	if nv := e.net; nv != nil {
 		ov, cut := nv.link(src.addr, dst)
 		blocked = cut
-		arrival = arrival.Add(ov.extraLatency)
+		arrival += int64(ov.extraLatency)
 		if !lost && ov.loss > 0 {
 			// Same stream, after the base draw: the draw count per send
 			// is a deterministic function of the override table, which
@@ -742,7 +821,7 @@ func (e *Env) deliver(src *Node, dst vri.Addr, dstPort vri.Port, payload []byte,
 	dstNode := e.nodes[dst]
 	if lost || blocked || dstNode == nil || !dstNode.alive {
 		if ack != nil {
-			ev := e.newEvent(src, now.Add(e.opts.AckTimeout), src)
+			ev := e.newEvent(src, addSat(now, e.opts.AckTimeout), src)
 			ev.kind = evAck
 			ev.ack = ack
 			ev.ackOK = false

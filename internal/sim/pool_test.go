@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -116,5 +117,65 @@ func TestDeliveryAckAndLossTypedEvents(t *testing.T) {
 	env.Run(2 * time.Second)
 	if ok, present := acks["dead"]; !present || ok {
 		t.Fatalf("acks = %v, want dead-destination send acked false after AckTimeout", acks)
+	}
+}
+
+// TestTimerCancelAfterCompactionIsInert pins the handle contract across
+// heap compaction: cancelling half of a heap's timers compacts it,
+// recycling the dead events, and the recycled structs serve the next
+// schedules. A second Cancel through the old handles must then be inert
+// rather than cancel the reincarnations, in both scheduler modes.
+func TestTimerCancelAfterCompactionIsInert(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			env := NewEnv(Options{Seed: 1})
+			if workers > 0 {
+				env.SetWorkers(workers)
+			}
+			n := env.Spawn("a")
+			h := &env.queue
+			if env.par != nil {
+				h = &env.par.shards[n.shard].heap
+			}
+			var fired []int
+			schedule := func(i int) vri.Timer {
+				return n.Schedule(time.Duration(i+1)*time.Millisecond, func() { fired = append(fired, i) })
+			}
+			var old []vri.Timer
+			for i := 0; i < 8; i++ {
+				old = append(old, schedule(i))
+			}
+			for i := 1; i < 8; i += 2 {
+				old[i].Cancel()
+			}
+			if len(h.q) != 4 || h.dead != 0 {
+				t.Fatalf("after cancelling 4 of 8 timers: heap len %d, dead %d; want compacted to 4 live, 0 dead", len(h.q), h.dead)
+			}
+			recycled := make(map[*event]bool)
+			for i := 1; i < 8; i += 2 {
+				recycled[old[i].(timerHandle).ev] = true
+			}
+			// Schedule the successors from a node event, so they draw from
+			// the pool compaction recycled into (the shard's, when sharded).
+			reused := 0
+			n.Schedule(0, func() {
+				for i := 8; i < 12; i++ {
+					if recycled[schedule(i).(timerHandle).ev] {
+						reused++
+					}
+				}
+			})
+			env.Run(500 * time.Microsecond)
+			if reused == 0 {
+				t.Fatal("no compacted event was reused; the test no longer exercises stale handles")
+			}
+			for i := 1; i < 8; i += 2 {
+				old[i].Cancel() // stale: must not cancel the reincarnations
+			}
+			env.Run(time.Second)
+			if want := []int{0, 2, 4, 6, 8, 9, 10, 11}; fmt.Sprint(fired) != fmt.Sprint(want) {
+				t.Fatalf("fired = %v, want %v (stale Cancel after compaction must be inert)", fired, want)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -60,7 +61,7 @@ type shard struct {
 	pool pool
 
 	events, msgs, bytes uint64
-	lastAt              time.Time
+	lastAt              int64
 }
 
 // SetWorkers selects the scheduler. k <= 0 restores the default
@@ -79,11 +80,11 @@ func (e *Env) SetWorkers(k int) {
 	}
 	// Collect every pending event from the current structures.
 	var pending []*event
-	pending = append(pending, e.queue...)
-	e.queue = nil
+	pending = append(pending, e.queue.q...)
+	e.queue = eventHeap{}
 	if e.par != nil {
 		for _, sh := range e.par.shards {
-			pending = append(pending, sh.heap...)
+			pending = append(pending, sh.heap.q...)
 			e.events += sh.events
 			e.msgs += sh.msgs
 			e.bytes += sh.bytes
@@ -91,8 +92,7 @@ func (e *Env) SetWorkers(k int) {
 		e.par = nil
 	}
 	if k <= 0 {
-		e.queue = pending
-		e.queue.reinit()
+		e.queue.adopt(pending)
 		return
 	}
 	la := e.opts.Topology.MinLatency()
@@ -142,10 +142,10 @@ func (e *Env) Workers() int {
 
 // dispatchWindow pops and runs this shard's events with at < end,
 // recycling each into the shard's pool after dispatch or discard.
-func (sh *shard) dispatchWindow(e *Env, end time.Time) {
-	for len(sh.heap) > 0 {
-		top := sh.heap[0]
-		if !top.at.Before(end) {
+func (sh *shard) dispatchWindow(e *Env, end int64) {
+	for len(sh.heap.q) > 0 {
+		top := sh.heap.q[0]
+		if top.at >= end {
 			break
 		}
 		sh.heap.pop()
@@ -186,36 +186,41 @@ func (sh *shard) mergeInbound(shards []*shard) {
 }
 
 // peekMin returns the earliest pending event time across shard heaps.
-func (p *parEngine) peekMin() (time.Time, bool) {
-	var best time.Time
+func (p *parEngine) peekMin() (int64, bool) {
+	var best int64
 	ok := false
 	for _, sh := range p.shards {
-		if len(sh.heap) == 0 {
+		if len(sh.heap.q) == 0 {
 			continue
 		}
-		at := sh.heap[0].at
-		if !ok || at.Before(best) {
+		at := sh.heap.q[0].at
+		if !ok || at < best {
 			best, ok = at, true
 		}
 	}
 	return best, ok
 }
 
+// mergePhase is the barrier signal for the inbound-merge phase. Window
+// ends are always >= 1 (virtual time never runs below origin and the
+// lookahead is positive), so the sentinel cannot collide with one.
+const mergePhase = math.MinInt64
+
 // run is the sharded counterpart of RunUntil (drain == false) and Drain
 // (drain == true). The coordinator alternates between running due
 // environment-level events (alone, at barriers) and releasing the shard
 // workers for one conservative window.
-func (p *parEngine) run(e *Env, deadline time.Time, drain bool) {
-	var starts []chan time.Time
+func (p *parEngine) run(e *Env, deadline int64, drain bool) {
+	var starts []chan int64
 	var done chan struct{}
 	if p.k > 1 {
-		starts = make([]chan time.Time, p.k)
+		starts = make([]chan int64, p.k)
 		done = make(chan struct{}, p.k)
 		for i := 0; i < p.k; i++ {
-			starts[i] = make(chan time.Time)
-			go func(sh *shard, start <-chan time.Time) {
+			starts[i] = make(chan int64)
+			go func(sh *shard, start <-chan int64) {
 				for end := range start {
-					if end.IsZero() { // merge phase
+					if end == mergePhase {
 						sh.mergeInbound(p.shards)
 					} else {
 						sh.dispatchWindow(e, end)
@@ -230,9 +235,9 @@ func (p *parEngine) run(e *Env, deadline time.Time, drain bool) {
 			}
 		}()
 	}
-	barrier := func(end time.Time) {
+	barrier := func(end int64) {
 		if p.k == 1 {
-			if end.IsZero() {
+			if end == mergePhase {
 				p.shards[0].mergeInbound(p.shards)
 			} else {
 				p.shards[0].dispatchWindow(e, end)
@@ -250,10 +255,10 @@ func (p *parEngine) run(e *Env, deadline time.Time, drain bool) {
 	windows := uint64(0)
 	for {
 		nmin, okN := p.peekMin()
-		var gmin time.Time
-		okG := len(e.queue) > 0
+		var gmin int64
+		okG := len(e.queue.q) > 0
 		if okG {
-			gmin = e.queue[0].at
+			gmin = e.queue.q[0].at
 		}
 		if !okN && !okG {
 			break
@@ -265,15 +270,15 @@ func (p *parEngine) run(e *Env, deadline time.Time, drain bool) {
 		windows++
 		if windows%512 == 0 {
 			min := nmin
-			if !okN || (okG && gmin.Before(min)) {
+			if !okN || (okG && gmin < min) {
 				min = gmin
 			}
 			e.pruneCongestion(min)
 		}
 		// Environment-level events run first on ties: their source id 0
 		// sorts below every node id, matching the sequential order.
-		if okG && (!okN || !nmin.Before(gmin)) {
-			if !drain && gmin.After(deadline) {
+		if okG && (!okN || nmin >= gmin) {
+			if !drain && gmin > deadline {
 				break
 			}
 			ev := e.queue.pop()
@@ -281,7 +286,7 @@ func (p *parEngine) run(e *Env, deadline time.Time, drain bool) {
 				e.pool.putEvent(ev)
 				continue
 			}
-			if ev.at.After(e.now) {
+			if ev.at > e.now {
 				e.now = ev.at
 			}
 			if ev.node != nil {
@@ -297,22 +302,22 @@ func (p *parEngine) run(e *Env, deadline time.Time, drain bool) {
 			e.pool.putEvent(ev)
 			continue
 		}
-		if !drain && nmin.After(deadline) {
+		if !drain && nmin > deadline {
 			break
 		}
-		end := nmin.Add(p.lookahead)
-		if okG && gmin.Before(end) {
+		end := addSat(nmin, p.lookahead)
+		if okG && gmin < end {
 			end = gmin
 		}
 		if !drain {
-			if max := deadline.Add(time.Nanosecond); max.Before(end) {
+			if max := addSat(deadline, 1); max < end {
 				end = max
 			}
 		}
 		p.inWindow = true
 		barrier(end)
 		p.inWindow = false
-		barrier(time.Time{}) // merge inbound lanes in parallel
+		barrier(mergePhase) // merge inbound lanes in parallel
 		// Environment-level events created inside the window, and the
 		// clock: both are coordinator work.
 		for _, sh := range p.shards {
@@ -320,12 +325,12 @@ func (p *parEngine) run(e *Env, deadline time.Time, drain bool) {
 				e.queue.push(ev)
 			}
 			sh.outEnv = sh.outEnv[:0]
-			if sh.lastAt.After(e.now) {
+			if sh.lastAt > e.now {
 				e.now = sh.lastAt
 			}
 		}
 	}
-	if !drain && e.now.Before(deadline) {
+	if !drain && e.now < deadline {
 		e.now = deadline
 	}
 	// Exit sweep at e.now, exactly like the sequential scheduler: the
