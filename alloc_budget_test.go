@@ -296,3 +296,38 @@ func TestRingMaintenanceAllocBudget(t *testing.T) {
 			key, got, limit)
 	}
 }
+
+// TestTableScanAllocBudget gates the table scan per stored row: it runs
+// the BenchmarkTableScan body (a one-shot Scan → Select → GroupBy →
+// Result query over 1000 stored rows per op) and fails if allocs/op
+// divided by the row count exceeds the checked-in budget, so a scan that
+// falls back to decoding each stored object into its own batch trips
+// the gate.
+func TestTableScanAllocBudget(t *testing.T) {
+	if os.Getenv("PIER_ALLOC_BUDGET") == "" {
+		t.Skip("set PIER_ALLOC_BUDGET=1 to enforce the allocation budget")
+	}
+	raw, err := os.ReadFile("alloc_budget.json")
+	if err != nil {
+		t.Fatalf("reading budget file: %v", err)
+	}
+	var budget struct {
+		TableScan map[string]float64 `json:"table_scan_allocs_per_row"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatalf("parsing alloc_budget.json: %v", err)
+	}
+	const key = "rows=1000"
+	limit, ok := budget.TableScan[key]
+	if !ok {
+		t.Fatalf("alloc_budget.json has no table_scan_allocs_per_row budget for %s", key)
+	}
+	res := testing.Benchmark(runTableScan)
+	got := float64(res.AllocsPerOp()) / tableScanRows
+	t.Logf("%s: %.3f allocs/row (budget %.3f), %d allocs/op, %s", key, got, limit, res.AllocsPerOp(), res.String())
+	if got > limit {
+		t.Errorf("%s: %.3f allocs/row exceeds the checked-in budget of %.3f — the table scan allocates "+
+			"more per stored row; if intentional, justify it and raise alloc_budget.json in the same change",
+			key, got, limit)
+	}
+}

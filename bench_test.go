@@ -543,6 +543,82 @@ func runGroupByColumnar(b *testing.B, batchSize, tails int) {
 	}
 }
 
+// BenchmarkTableScan measures a one-shot query over stored rows: a node
+// holding a 1000-row fwlogs namespace runs Scan → Select → GroupBy →
+// Result per op, the local half of Figure 2's top-k query. The scan
+// decodes the stored rows straight into columnar batches, so the Select
+// kernels and GroupBy folding run on them; allocs/op divided by the row
+// count is gated by TestTableScanAllocBudget (table_scan_allocs_per_row
+// in alloc_budget.json).
+func BenchmarkTableScan(b *testing.B) {
+	runTableScan(b)
+}
+
+// tableScanRows is the stored table size of BenchmarkTableScan.
+const tableScanRows = 1000
+
+// runTableScan is the body shared by BenchmarkTableScan and its
+// allocation gate.
+func runTableScan(b *testing.B) {
+	b.ReportAllocs()
+	env := sim.NewEnv(sim.Options{Seed: 1})
+	n := experiments.BuildCluster(env, 1, "scan")[0]
+	rng := rand.New(rand.NewSource(5))
+	rows := make([][]byte, tableScanRows)
+	for i := range rows {
+		rows[i] = tuple.New("fwlogs").
+			Set("src", tuple.String(fmt.Sprintf("10.0.0.%d", rng.Intn(32)))).
+			Set("dstport", tuple.Int(int64(rng.Intn(1024)))).
+			Set("severity", tuple.Int(rng.Int63n(8))).Encode()
+	}
+	// store (re)writes the table under fixed names, so a refresh
+	// overwrites every row with a fresh lifetime instead of adding rows.
+	store := func() {
+		for i, data := range rows {
+			n.DHT().PutLocal("fwlogs", "", fmt.Sprintf("%04d", i), data, time.Hour)
+		}
+	}
+	store()
+	plan := ufl.MustParse(`
+query scanbench timeout 1s
+opgraph g disseminate local {
+    scan = Scan(table='fwlogs')
+    sel  = Select(pred='severity >= 4')
+    agg  = GroupBy(keys='src', aggs='count(*) as cnt')
+    out  = Result()
+    sel <- scan
+    agg <- sel
+    out <- agg
+}
+`)
+	groups := 0
+	onResult := func(*tuple.Tuple) { groups++ }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%500 == 0 {
+			// Each op spends 5 virtual seconds: refresh the rows well
+			// before their hour runs out.
+			b.StopTimer()
+			store()
+			b.StartTimer()
+		}
+		if err := n.Submit(plan, "bench", onResult, nil); err != nil {
+			b.Fatal(err)
+		}
+		env.Run(5 * time.Second) // timeout, done-grace and teardown
+	}
+	b.StopTimer()
+	if groups != 32*b.N {
+		b.Fatalf("%d groups over %d queries, want 32 per query", groups, b.N)
+	}
+	if st := n.Stats(); st.MalformedDrops != 0 {
+		b.Fatalf("scan dropped stored rows as malformed: %+v", st)
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)*tableScanRows/secs, "rows/s")
+	}
+}
+
 // BenchmarkBloomFilter measures membership probes.
 func BenchmarkBloomFilter(b *testing.B) {
 	f := bloom.New(10_000, 0.01)

@@ -286,8 +286,12 @@ func (d *DHT) Renew(namespace, key, suffix string, lifetime time.Duration, done 
 	})
 }
 
-// LocalScan invokes fn for every object of the namespace stored at this
-// node, until fn returns false (Table 2: localScan/handleLScan).
+// LocalScan invokes fn for every live object of the namespace stored at
+// this node, in (key, suffix) order, until fn returns false (Table 2:
+// localScan/handleLScan). fn sees the namespace as it stood when the
+// scan began: fn may put into the scanned namespace, but what it puts
+// or overwrites reaches the next scan, never this one, and no object is
+// delivered twice.
 func (d *DHT) LocalScan(namespace string, fn func(Object) bool) {
 	d.store.scan(namespace, fn)
 }

@@ -1,7 +1,9 @@
 package overlay
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"pier/internal/vri"
@@ -19,12 +21,29 @@ type objectManager struct {
 	// failed long ago (§3.2.3).
 	maxLifetime time.Duration
 
-	// tables: namespace → key → suffix → stored object.
-	tables map[string]map[string]map[string]*storedObject
+	tables map[string]*nsTable
+
+	// nextExpiry is a lower bound on every stored object's expiry, zero
+	// when nothing is stored: the sweep has nothing to delete before it.
+	nextExpiry time.Time
 
 	sweepEvery time.Duration
 	sweepTimer vri.Timer
 	stopped    bool
+}
+
+// nsTable holds one namespace's objects.
+type nsTable struct {
+	// byKey: key → suffix → stored object. Nesting keeps each map's
+	// slots string-sized, which holds a large table's footprint well
+	// below a map keyed by the (key, suffix) pair.
+	byKey map[string]map[string]*storedObject
+	// order caches every stored object — live or expired but not yet
+	// swept — in (key, suffix) order; nil when stale. A put, overwrite,
+	// restore or sweep deletion in the namespace drops it, and the next
+	// reader rebuilds it into a FRESH slice: a scan in progress keeps
+	// walking the order it started with.
+	order []*storedObject
 }
 
 type storedObject struct {
@@ -42,7 +61,7 @@ func newObjectManager(rt vri.Runtime, maxLifetime, sweepEvery time.Duration) *ob
 	return &objectManager{
 		rt:          rt,
 		maxLifetime: maxLifetime,
-		tables:      make(map[string]map[string]map[string]*storedObject),
+		tables:      make(map[string]*nsTable),
 		sweepEvery:  sweepEvery,
 	}
 }
@@ -76,39 +95,81 @@ func (m *objectManager) clampLifetime(d time.Duration) time.Duration {
 
 // put stores (or overwrites) an object under its full three-part name.
 func (m *objectManager) put(o Object) {
-	keys := m.tables[o.Namespace]
-	if keys == nil {
-		keys = make(map[string]map[string]*storedObject)
-		m.tables[o.Namespace] = keys
+	m.install(o, m.rt.Now().Add(m.clampLifetime(o.Lifetime)))
+}
+
+// install stores o until expires, the step put and restore share.
+func (m *objectManager) install(o Object, expires time.Time) {
+	t := m.tables[o.Namespace]
+	if t == nil {
+		t = &nsTable{byKey: make(map[string]map[string]*storedObject)}
+		m.tables[o.Namespace] = t
 	}
-	sfx := keys[o.Key]
+	sfx := t.byKey[o.Key]
 	if sfx == nil {
 		sfx = make(map[string]*storedObject)
-		keys[o.Key] = sfx
+		t.byKey[o.Key] = sfx
 	}
-	life := m.clampLifetime(o.Lifetime)
-	sfx[o.Suffix] = &storedObject{obj: o, expires: m.rt.Now().Add(life)}
+	sfx[o.Suffix] = &storedObject{obj: o, expires: expires}
+	t.order = nil
+	m.noteExpiry(expires)
+}
+
+// noteExpiry keeps nextExpiry a lower bound after an object's expiry is
+// set to at.
+func (m *objectManager) noteExpiry(at time.Time) {
+	if m.nextExpiry.IsZero() || at.Before(m.nextExpiry) {
+		m.nextExpiry = at
+	}
+}
+
+// ordered returns the namespace's objects in (key, suffix) order,
+// rebuilding the cache if a write dropped it. Callers check expiry per
+// object and must not modify the slice. The canonical order matters for
+// determinism: gets and scans feed operators whose emission order
+// decides downstream message order, and the simulator's replay guarantee
+// (same seed, any worker count → bit-identical results) cannot survive
+// Go's randomized map iteration.
+func (m *objectManager) ordered(ns string) []*storedObject {
+	t := m.tables[ns]
+	if t == nil {
+		return nil
+	}
+	if t.order == nil {
+		n := 0
+		for _, sfx := range t.byKey {
+			n += len(sfx)
+		}
+		order := make([]*storedObject, 0, n)
+		for _, sfx := range t.byKey {
+			for _, so := range sfx {
+				order = append(order, so)
+			}
+		}
+		slices.SortFunc(order, func(a, b *storedObject) int {
+			if c := strings.Compare(a.obj.Key, b.obj.Key); c != 0 {
+				return c
+			}
+			return strings.Compare(a.obj.Suffix, b.obj.Suffix)
+		})
+		t.order = order
+	}
+	return t.order
 }
 
 // get returns all live objects stored under (namespace, key), one per
-// suffix, in suffix order. The canonical order matters for determinism:
-// get responses feed operators whose emission order decides downstream
-// message order, and the simulator's replay guarantee (same seed, any
-// worker count → bit-identical results) cannot survive Go's randomized
-// map iteration.
+// suffix, in suffix order: the key's run of the ordered namespace.
 func (m *objectManager) get(ns, key string) []Object {
 	now := m.rt.Now()
-	sfx := m.tables[ns][key]
-	suffixes := make([]string, 0, len(sfx))
-	for s, so := range sfx {
-		if so.expires.After(now) {
-			suffixes = append(suffixes, s)
-		}
-	}
-	sort.Strings(suffixes)
+	order := m.ordered(ns)
+	i, _ := slices.BinarySearchFunc(order, key, func(so *storedObject, k string) int {
+		return strings.Compare(so.obj.Key, k)
+	})
 	var out []Object
-	for _, s := range suffixes {
-		out = append(out, sfx[s].obj)
+	for ; i < len(order) && order[i].obj.Key == key; i++ {
+		if order[i].expires.After(now) {
+			out = append(out, order[i].obj)
+		}
 	}
 	return out
 }
@@ -117,39 +178,30 @@ func (m *objectManager) get(ns, key string) []Object {
 // not present (expired, never stored here, or responsibility moved),
 // which signals the publisher to re-put (§3.2.3).
 func (m *objectManager) renew(ns, key, suffix string, lifetime time.Duration) bool {
-	so := m.tables[ns][key][suffix]
+	t := m.tables[ns]
+	if t == nil {
+		return false
+	}
+	so := t.byKey[key][suffix]
 	if so == nil || !so.expires.After(m.rt.Now()) {
 		return false
 	}
 	so.expires = m.rt.Now().Add(m.clampLifetime(lifetime))
+	m.noteExpiry(so.expires)
 	return true
 }
 
 // scan invokes fn for every live object in namespace until fn returns
 // false, in (key, suffix) order. As with get, the canonical order keeps
 // table scans — and therefore every dataflow they feed — deterministic
-// across runs and scheduler modes.
+// across runs and scheduler modes. fn sees the namespace as it stood
+// when the scan began: objects fn puts or overwrites there reach the
+// next scan, never this one, and no object is delivered twice.
 func (m *objectManager) scan(ns string, fn func(Object) bool) {
 	now := m.rt.Now()
-	byKey := m.tables[ns]
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sfx := byKey[k]
-		suffixes := make([]string, 0, len(sfx))
-		for s, so := range sfx {
-			if so.expires.After(now) {
-				suffixes = append(suffixes, s)
-			}
-		}
-		sort.Strings(suffixes)
-		for _, s := range suffixes {
-			if !fn(sfx[s].obj) {
-				return
-			}
+	for _, so := range m.ordered(ns) {
+		if so.expires.After(now) && !fn(so.obj) {
+			return
 		}
 	}
 }
@@ -178,23 +230,8 @@ func (m *objectManager) snapshot(w *wire.Writer, now time.Time) {
 	}
 	sort.Strings(nss)
 	for _, ns := range nss {
-		byKey := m.tables[ns]
-		keys := make([]string, 0, len(byKey))
-		for k := range byKey {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			sfx := byKey[k]
-			suffixes := make([]string, 0, len(sfx))
-			for s, so := range sfx {
-				if so.expires.After(now) {
-					suffixes = append(suffixes, s)
-				}
-			}
-			sort.Strings(suffixes)
-			for _, s := range suffixes {
-				so := sfx[s]
+		for _, so := range m.ordered(ns) {
+			if so.expires.After(now) {
 				appendObject(w, so.obj)
 				w.Duration(so.expires.Sub(now))
 				count++
@@ -220,36 +257,36 @@ func (m *objectManager) restore(r *wire.Reader, now time.Time) error {
 		if remaining <= 0 {
 			continue
 		}
-		keys := m.tables[o.Namespace]
-		if keys == nil {
-			keys = make(map[string]map[string]*storedObject)
-			m.tables[o.Namespace] = keys
-		}
-		sfx := keys[o.Key]
-		if sfx == nil {
-			sfx = make(map[string]*storedObject)
-			keys[o.Key] = sfx
-		}
-		sfx[o.Suffix] = &storedObject{obj: o, expires: now.Add(remaining)}
+		m.install(o, now.Add(remaining))
 	}
 	return r.Err()
 }
 
-// sweep discards expired objects and empty index levels.
+// sweep discards expired objects and empty index levels. Before
+// nextExpiry nothing can have expired and it returns at once; otherwise
+// it walks every object and recomputes the bound from the survivors.
 func (m *objectManager) sweep(now time.Time) {
-	for ns, keys := range m.tables {
-		for key, sfx := range keys {
+	if now.Before(m.nextExpiry) {
+		return
+	}
+	var next time.Time
+	for ns, t := range m.tables {
+		for key, sfx := range t.byKey {
 			for suffix, so := range sfx {
 				if !so.expires.After(now) {
 					delete(sfx, suffix)
+					t.order = nil
+				} else if next.IsZero() || so.expires.Before(next) {
+					next = so.expires
 				}
 			}
 			if len(sfx) == 0 {
-				delete(keys, key)
+				delete(t.byKey, key)
 			}
 		}
-		if len(keys) == 0 {
+		if len(t.byKey) == 0 {
 			delete(m.tables, ns)
 		}
 	}
+	m.nextExpiry = next
 }

@@ -33,6 +33,11 @@ import (
 // connected using ... a particular namespace within the DHT"); the
 // consuming opgraph separates them again by table name.
 //
+// The catch-up scan decodes the stored rows straight into columnar
+// batches of at most tuple.ScanBatchRows rows, in the store's (key,
+// suffix) order (tuple.ScanAppender), so a table scan feeds the
+// vectorized Select and GroupBy paths instead of one batch per object.
+//
 // Malformed stored objects are discarded best-effort but COUNTED: the
 // catch-up path increments the node's scanMalformed, the newData path is
 // counted by the overlay registry; both surface in Node.Stats.
@@ -41,17 +46,16 @@ func newScan(h opHost, table string, withScan bool, only string) *exec.Input {
 	in := exec.NewInput()
 	in.OnOpen = func(tag exec.Tag) {
 		if withScan {
+			app := tuple.NewScanAppender(only, n.dht.LocalCount(table), func(b *tuple.Batch) {
+				in.PushBatch(tag, b)
+			})
 			n.dht.LocalScan(table, func(o overlay.Object) bool {
-				fb, err := tuple.DecodeFrame(o.Data)
-				if err != nil {
+				if app.Add(o.Data) != nil {
 					n.scanMalformed.Inc()
-					return true
-				}
-				if fb = fb.FilterTable(only); fb != nil && fb.Len() > 0 {
-					in.PushBatch(tag, fb)
 				}
 				return true
 			})
+			app.Flush()
 		}
 		h.addCancel(n.bus.attach(table, only, h, tag, in))
 	}
@@ -110,7 +114,9 @@ func (p *putOp) Push(_ exec.Tag, t *tuple.Tuple) {
 // PushBatch rehashes a whole batch: rows sharing a partitioning key are
 // grouped (first-seen key order, preserving in-key row order) and each
 // group ships as ONE multi-row frame — the messages-per-publish win of
-// the exchange. Single rows keep the legacy single-tuple encoding.
+// the exchange. A group of one row ships in the legacy single-tuple
+// encoding, byte-identical to Push, so what a row costs on the wire does
+// not depend on how it was batched upstream.
 func (p *putOp) PushBatch(tag exec.Tag, b *tuple.Batch) {
 	n := b.Len()
 	if n == 0 {
@@ -169,7 +175,11 @@ func (p *putOp) PushBatch(tag exec.Tag, b *tuple.Batch) {
 		// Fresh buffer per frame: Put/Send retain the payload across
 		// async routing (and the retry path re-sends it).
 		w := wire.NewWriter(64 + 32*len(idx))
-		b.EncodeRowsTo(w, idx)
+		if len(idx) == 1 {
+			b.EncodeRowTo(int(idx[0]), w)
+		} else {
+			b.EncodeRowsTo(w, idx)
+		}
 		p.ship(key, w.Bytes())
 	}
 }

@@ -75,14 +75,21 @@ func (b *Batch) AppendRow(vals []Value) {
 	if b.names == nil || len(vals) != len(b.names) {
 		panic("tuple: AppendRow on non-columnar batch or wrong arity")
 	}
-	for c, v := range vals {
+	b.vals = append(b.vals, vals...)
+	b.commitRow()
+}
+
+// commitRow counts the row whose values were just appended to b.vals
+// and folds their kinds into the column summaries.
+func (b *Batch) commitRow() {
+	row := b.vals[len(b.vals)-len(b.names):]
+	for c, v := range row {
 		if b.n == 0 {
 			b.kinds[c] = v.kind
 		} else if b.kinds[c] != v.kind {
 			b.kinds[c] = kindMixed
 		}
 	}
-	b.vals = append(b.vals, vals...)
 	b.n++
 }
 
@@ -520,8 +527,10 @@ func (v Value) encodeTo(w *wire.Writer) {
 	}
 }
 
-// decodeValue reads one kind byte and payload; unknown kinds decode as
-// null (best-effort self-description, matching DecodeFrom).
+// decodeValue reads one kind byte and payload — the one value decoder
+// behind DecodeFrom, DecodeFrame and ScanAppender. Unknown kinds decode
+// as null without consuming a payload (best-effort self-description: a
+// newer or foreign node's value does not fail the tuple).
 func decodeValue(r *wire.Reader) Value {
 	kind := Kind(r.U8())
 	switch kind {
