@@ -4,7 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
+	"time"
+
+	"pier/internal/experiments"
+	"pier/internal/sim"
+	"pier/internal/ufl"
 )
 
 // TestEventThroughputAllocBudget is the allocation-regression gate for
@@ -330,4 +336,87 @@ func TestTableScanAllocBudget(t *testing.T) {
 			"more per stored row; if intentional, justify it and raise alloc_budget.json in the same change",
 			key, got, limit)
 	}
+}
+
+// TestAdmittedGraphFootprint gates the memory an admitted opgraph keeps
+// while it runs: it admits Q same-shape broadcast continuous queries on
+// a small cluster, forces a collection, and fails if the live heap
+// objects added per admitted (node, query) exceed the checked-in
+// budget. A running graph owns its id, tag, roots, teardown hooks and
+// timers; retaining the decoded plan or a build-time operator map for
+// the query's whole life trips the gate.
+func TestAdmittedGraphFootprint(t *testing.T) {
+	if os.Getenv("PIER_ALLOC_BUDGET") == "" {
+		t.Skip("set PIER_ALLOC_BUDGET=1 to enforce the allocation budget")
+	}
+	raw, err := os.ReadFile("alloc_budget.json")
+	if err != nil {
+		t.Fatalf("reading budget file: %v", err)
+	}
+	var budget struct {
+		Footprint map[string]float64 `json:"admitted_graph_live_objects"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatalf("parsing alloc_budget.json: %v", err)
+	}
+	const queries = 200
+	key := fmt.Sprintf("queries=%d", queries)
+	limit, ok := budget.Footprint[key]
+	if !ok {
+		t.Fatalf("alloc_budget.json has no admitted_graph_live_objects budget for %s", key)
+	}
+	objects, bytes := admittedGraphFootprint(t, queries)
+	t.Logf("%s: %.1f live objects and %.0f live bytes per admitted graph (budget %.1f objects)",
+		key, objects, bytes, limit)
+	if objects > limit {
+		t.Errorf("%s: %.1f live objects per admitted graph exceeds the checked-in budget of %.1f — an "+
+			"admitted graph retains more than teardown needs; if intentional, justify it and raise "+
+			"alloc_budget.json in the same change", key, objects, limit)
+	}
+}
+
+// admittedGraphFootprint admits queries same-shape continuous
+// aggregations (the qstorm plan: NewData → GroupBy with a flush period →
+// Result, broadcast) on an 8-node cluster and returns the live heap
+// objects and bytes they added, per admitted (node, query), measured
+// after a forced collection on both sides. No events are published, so
+// the figure is admission state alone: the per-query tails and
+// timers, the proxy's per-query state, and the shared chain amortized
+// over every query.
+func admittedGraphFootprint(t *testing.T, queries int) (objects, bytes float64) {
+	const nodeCount = 8
+	env := sim.NewEnv(sim.Options{Seed: 1})
+	nodes := experiments.BuildCluster(env, nodeCount, "n")
+	env.Run(5 * time.Second)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < queries; i++ {
+		plan := ufl.MustParse(fmt.Sprintf(`
+query footprint%d timeout 4h
+opgraph g disseminate broadcast {
+    src = NewData(table='fwlogs')
+    agg = GroupBy(keys='node', aggs='count(*) as cnt', flushevery='1s')
+    out = Result()
+    agg <- src
+    out <- agg
+}
+`, i))
+		if err := nodes[i%nodeCount].Submit(plan, fmt.Sprintf("client%d", i%10), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.Run(5 * time.Second)
+	for i, n := range nodes {
+		if st := n.Stats(); st.LiveGraphs != queries || st.SharedSubtrees != 1 {
+			t.Fatalf("node %d: %d live graphs on %d shared chains, want %d on 1", i, st.LiveGraphs, st.SharedSubtrees, queries)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(env)
+	runtime.KeepAlive(nodes)
+	graphs := float64(nodeCount * queries)
+	return (float64(after.HeapObjects) - float64(before.HeapObjects)) / graphs,
+		(float64(after.HeapAlloc) - float64(before.HeapAlloc)) / graphs
 }

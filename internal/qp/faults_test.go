@@ -157,6 +157,67 @@ opgraph g disseminate broadcast {
 	}
 }
 
+// TestRedundantDeliveryDedupsOnGraphID: an admitted graph keeps only
+// its id, not its decoded plan, and that id must still absorb redundant
+// deliveries. A two-opgraph query (one shared-path graph, one private)
+// broadcast over NumTrees=2 runs each graph once per node; replaying
+// both graphs at one executor as fresh single-graph deliveries, which
+// no tree-level seen set covers, admits nothing new; a third graph id
+// of the same query is admitted beside them.
+func TestRedundantDeliveryDedupsOnGraphID(t *testing.T) {
+	env, nodes := clusterWith(t, 65, 6, Config{NumTrees: 2})
+	q := ufl.MustParse(`
+query twograph timeout 20s
+opgraph live disseminate broadcast {
+    src = NewData(table='fw')
+    out = Result()
+    out <- src
+}
+opgraph snap disseminate broadcast {
+    scan = Scan(table='fw')
+    out = Result()
+    out <- scan
+}
+`)
+	proxy := nodes[1]
+	if err := proxy.Submit(q, "c", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	env.Run(5 * time.Second)
+	for i, n := range nodes {
+		if st := n.Stats(); st.GraphsExecuted != 2 || st.LiveGraphs != 2 {
+			t.Fatalf("node %d: executed %d, live %d; want both graphs exactly once under 2 trees",
+				i, st.GraphsExecuted, st.LiveGraphs)
+		}
+	}
+
+	n := nodes[3]
+	deadline := env.Now().Add(10 * time.Second)
+	deliver := func(g ufl.Opgraph) {
+		n.handleMessage(proxy.Addr(), encodeDisseminate(q.ID, deadline, proxy.Addr(), "c", g))
+	}
+	for _, g := range q.Graphs {
+		deliver(g)
+	}
+	if st := n.Stats(); st.GraphsExecuted != 2 || st.LiveGraphs != 2 {
+		t.Fatalf("replayed deliveries executed again: executed %d, live %d", st.GraphsExecuted, st.LiveGraphs)
+	}
+	third := q.Graphs[0]
+	third.ID = "live2"
+	deliver(third)
+	if st := n.Stats(); st.GraphsExecuted != 3 || st.LiveGraphs != 3 {
+		t.Fatalf("a distinct graph id of the same query was not admitted: executed %d, live %d",
+			st.GraphsExecuted, st.LiveGraphs)
+	}
+
+	env.Run(30 * time.Second)
+	for i, n := range nodes {
+		if st := n.Stats(); st.LiveGraphs != 0 || st.SharedSubtrees != 0 {
+			t.Fatalf("node %d kept graphs past the deadline: %+v", i, st)
+		}
+	}
+}
+
 // TestTreeRepairAfterInteriorKill: killing an interior tree node leaves
 // a stale child entry in its parent's table; the next broadcast's
 // forward nack must drop that child and re-route, and the victim's

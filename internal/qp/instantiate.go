@@ -12,13 +12,18 @@ import (
 )
 
 // liveGraph is one instantiated opgraph executing at this node: the
-// wired operator instances, the probe tag, and the teardown hooks.
+// graph id, the probe tag, the roots, and the teardown hooks. It keeps
+// only what a running graph owns: the decoded opgraph and the id-keyed
+// operator map are build-time state of instantiate and are dropped once
+// the graph is wired, so a node running thousands of continuous queries
+// holds no copy of their plans.
 type liveGraph struct {
-	n    *Node
-	rq   *runningQuery
-	spec ufl.Opgraph
+	n  *Node
+	rq *runningQuery
+	// id is the opgraph's id, which redundant-delivery dedup matches on
+	// (acceptGraph).
+	id string
 
-	ops     map[string]exec.Op
 	roots   []exec.Op
 	tag     exec.Tag
 	cancels []func()
@@ -36,7 +41,7 @@ type liveGraph struct {
 	flushEvery time.Duration
 
 	// shared/demuxTarget are set when this graph runs on the shared-
-	// subtree path (subtree.go): ops then holds only the private tail,
+	// subtree path (subtree.go): roots then holds only the private tail,
 	// attached to the shared chain's demux under this graph's tag.
 	shared      *sharedSubtree
 	demuxTarget *exec.DemuxTarget
@@ -57,25 +62,27 @@ func (lg *liveGraph) done() bool         { return lg.closed }
 // every shard worker under the sharded scheduler.
 func (n *Node) instantiate(rq *runningQuery, g ufl.Opgraph) (*liveGraph, error) {
 	n.tagCounter++
-	lg := &liveGraph{n: n, rq: rq, spec: g, ops: make(map[string]exec.Op), tag: n.tagCounter}
-	lg.sig = g.Signature(rq.id)
+	lg := &liveGraph{n: n, rq: rq, id: g.ID, tag: n.tagCounter}
+	sig, subtree := g.Signatures(rq.id)
+	lg.sig = sig
 
 	// Share-eligible graphs take the subtree path: the chain beneath the
 	// tail resolves through the node's signature-keyed cache (one shared
 	// instance, however many queries), and only the tail is private.
 	if tail, topID, ok := sharePlan(&g); ok {
-		if err := n.attachShared(lg, g, tail, topID); err != nil {
+		if err := n.attachShared(lg, g, tail, topID, subtree[topID]); err != nil {
 			return nil, err
 		}
 		return lg, nil
 	}
 
+	ops := make(map[string]exec.Op, len(g.Ops))
 	for _, spec := range g.Ops {
 		op, err := lg.buildOp(spec)
 		if err != nil {
 			return nil, fmt.Errorf("qp: opgraph %q op %q: %w", g.ID, spec.ID, err)
 		}
-		lg.ops[spec.ID] = op
+		ops[spec.ID] = op
 		if fe := spec.Arg("flushevery", ""); fe != "" {
 			d, err := time.ParseDuration(fe)
 			if err != nil {
@@ -97,7 +104,7 @@ func (n *Node) instantiate(rq *runningQuery, g ufl.Opgraph) (*liveGraph, error) 
 		if fanOut[e.From] > 1 && !strings.EqualFold(g.Op(e.From).Kind, "tee") {
 			return nil, fmt.Errorf("qp: opgraph %q: op %q feeds %d consumers; insert a Tee", g.ID, e.From, fanOut[e.From])
 		}
-		if err := attachChild(lg.ops[e.To], e.Slot, lg.ops[e.From]); err != nil {
+		if err := attachChild(ops[e.To], e.Slot, ops[e.From]); err != nil {
 			return nil, fmt.Errorf("qp: opgraph %q: edge %s->%s: %w", g.ID, e.From, e.To, err)
 		}
 	}
@@ -109,7 +116,7 @@ func (n *Node) instantiate(rq *runningQuery, g ufl.Opgraph) (*liveGraph, error) 
 	}
 	for _, spec := range g.Ops {
 		if !consumed[spec.ID] {
-			lg.roots = append(lg.roots, lg.ops[spec.ID])
+			lg.roots = append(lg.roots, ops[spec.ID])
 		}
 	}
 	if len(lg.roots) == 0 {

@@ -313,8 +313,18 @@ func (n *Node) Stop() {
 	if !n.started {
 		return
 	}
-	for _, rq := range n.running {
-		n.finishQuery(rq)
+	// Finishing a query flushes it and emits its results, so queries
+	// finish in query-id order, not map order: message sequences must
+	// not depend on map iteration.
+	ids := make([]string, 0, len(n.running))
+	for id := range n.running {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		if rq := n.running[id]; rq != nil {
+			n.finishQuery(rq)
+		}
 	}
 	if n.batchTimer != nil {
 		n.batchTimer.Cancel()
@@ -672,7 +682,7 @@ func (n *Node) acceptGraph(queryID string, deadline time.Time, proxy vri.Addr, c
 	rq := n.running[queryID]
 	if rq != nil {
 		for _, lg := range rq.graphs {
-			if lg.spec.ID == g.ID {
+			if lg.id == g.ID {
 				return // duplicate dissemination (tree redundancy)
 			}
 		}

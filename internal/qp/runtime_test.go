@@ -478,3 +478,50 @@ opgraph g disseminate broadcast {
 		t.Fatalf("just-over-window broadcast never executed: %+v", st)
 	}
 }
+
+// TestStopFinishesQueriesInCanonicalOrder: Stop flushes every running
+// query and emits its results, so the order it finishes them in decides
+// the emitted sequence. Two identical nodes stopped with the same
+// queries running must emit identical sequences, in query-id order —
+// never in map iteration order.
+func TestStopFinishesQueriesInCanonicalOrder(t *testing.T) {
+	stopSequence := func() []string {
+		env, n := soloNode(t, 50)
+		n.PublishLocal("fw", tuple.New("fw").Set("v", tuple.Int(1)), time.Hour)
+		var seq []string
+		for i := 0; i < 16; i++ {
+			id := fmt.Sprintf("stop%02d", (i*7)%16)
+			plan := ufl.MustParse(fmt.Sprintf(`
+query %s timeout 1h
+opgraph g disseminate local {
+    scan = Scan(table='fw')
+    agg = GroupBy(aggs='count(*) as cnt')
+    out = Result()
+    agg <- scan
+    out <- agg
+}
+`, id))
+			if err := n.Submit(plan, "c", func(*tuple.Tuple) { seq = append(seq, id) }, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		env.Run(time.Second)
+		if len(seq) != 0 {
+			t.Fatalf("results before Stop: %v", seq)
+		}
+		n.Stop()
+		return seq
+	}
+	a, b := stopSequence(), stopSequence()
+	if len(a) != 16 {
+		t.Fatalf("Stop emitted %d results, want one per query: %v", len(a), a)
+	}
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("identical nodes emitted different Stop sequences:\n%v\n%v", a, b)
+	}
+	for i := 1; i < len(a); i++ {
+		if a[i-1] >= a[i] {
+			t.Fatalf("Stop finished queries out of query-id order: %v", a)
+		}
+	}
+}

@@ -21,7 +21,7 @@ import (
 // shares the chains themselves:
 //
 //   - Every arriving opgraph gets per-op subtree signatures
-//     (ufl.SubtreeSignatures: structural hash of the op plus everything
+//     (ufl.Signatures: structural hash of the op plus everything
 //     feeding it, query-id normalized). When the graph is share-eligible
 //     (one tail over a NewData-fed chain of deterministic operators), the
 //     node resolves the tail's input chain through a signature-keyed
@@ -124,7 +124,6 @@ type sharedSubtree struct {
 	n   *Node
 	sig uint64
 
-	ops     map[string]exec.Op
 	roots   []exec.Op // the chain's top; probes/flushes start here
 	demux   *exec.Demux
 	tag     exec.Tag // the chain's own probe tag; tails re-tag via demux
@@ -198,19 +197,18 @@ func (f fanoutSink) PushBatch(tag exec.Tag, b *tuple.Batch) {
 }
 
 // attachShared runs lg on the shared-subtree path: build the query's
-// private tail, resolve (or build) the shared chain under the tail
-// input's subtree signature, and attach the tail to the chain's demux
-// under the query's own tag. The tail builds FIRST so a build error
-// leaves no freshly built zero-refcount chain behind.
-func (n *Node) attachShared(lg *liveGraph, g ufl.Opgraph, tail ufl.OpSpec, topID string) error {
+// private tail, resolve (or build) the shared chain under key, the
+// subtree signature of the tail's input, and attach the tail to the
+// chain's demux under the query's own tag. The tail builds FIRST so a
+// build error leaves no freshly built zero-refcount chain behind.
+func (n *Node) attachShared(lg *liveGraph, g ufl.Opgraph, tail ufl.OpSpec, topID string, key uint64) error {
 	tailOp, err := lg.buildOp(tail)
 	if err != nil {
 		return fmt.Errorf("qp: opgraph %q op %q: %w", g.ID, tail.ID, err)
 	}
-	key := g.SubtreeSignatures(lg.rq.id)[topID]
 	st := n.subtrees[key]
 	if st == nil {
-		st, err = n.buildSubtree(g, lg.rq.id, tail.ID, topID, key)
+		st, err = n.buildSubtree(g, tail.ID, topID, key)
 		if err != nil {
 			return err
 		}
@@ -220,7 +218,6 @@ func (n *Node) attachShared(lg *liveGraph, g ufl.Opgraph, tail ufl.OpSpec, topID
 	} else {
 		n.subtreeHits++
 	}
-	lg.ops[tail.ID] = tailOp
 	lg.roots = []exec.Op{tailOp}
 	lg.shared = st
 	lg.demuxTarget = st.demux.Attach(lg.tag, fanoutSink{n: n, s: tailOp})
@@ -229,13 +226,10 @@ func (n *Node) attachShared(lg *liveGraph, g ufl.Opgraph, tail ufl.OpSpec, topID
 
 // buildSubtree constructs the shared chain for an opgraph minus its
 // tail, under a fresh chain-private tag, terminated by a demux.
-func (n *Node) buildSubtree(g ufl.Opgraph, queryID, tailID, topID string, sig uint64) (*sharedSubtree, error) {
+func (n *Node) buildSubtree(g ufl.Opgraph, tailID, topID string, sig uint64) (*sharedSubtree, error) {
 	n.tagCounter++
-	st := &sharedSubtree{
-		n: n, sig: sig, tag: n.tagCounter,
-		ops:   make(map[string]exec.Op),
-		demux: &exec.Demux{},
-	}
+	st := &sharedSubtree{n: n, sig: sig, tag: n.tagCounter, demux: &exec.Demux{}}
+	ops := make(map[string]exec.Op, len(g.Ops))
 	for _, spec := range g.Ops {
 		if spec.ID == tailID {
 			continue
@@ -249,7 +243,7 @@ func (n *Node) buildSubtree(g ufl.Opgraph, queryID, tailID, topID string, sig ui
 			// degrade to an error instead of a panic.
 			return nil, fmt.Errorf("qp: opgraph %q op %q: kind %q not shareable", g.ID, spec.ID, spec.Kind)
 		}
-		st.ops[spec.ID] = op
+		ops[spec.ID] = op
 		if fe := spec.Arg("flushevery", ""); fe != "" {
 			d, err := time.ParseDuration(fe)
 			if err != nil {
@@ -277,11 +271,11 @@ func (n *Node) buildSubtree(g ufl.Opgraph, queryID, tailID, topID string, sig ui
 		if fanOut[e.From] > 1 && !strings.EqualFold(g.Op(e.From).Kind, "tee") {
 			return nil, fmt.Errorf("qp: opgraph %q: op %q feeds %d consumers; insert a Tee", g.ID, e.From, fanOut[e.From])
 		}
-		if err := attachChild(st.ops[e.To], e.Slot, st.ops[e.From]); err != nil {
+		if err := attachChild(ops[e.To], e.Slot, ops[e.From]); err != nil {
 			return nil, fmt.Errorf("qp: opgraph %q: edge %s->%s: %w", g.ID, e.From, e.To, err)
 		}
 	}
-	top := st.ops[topID]
+	top := ops[topID]
 	if top == nil {
 		return nil, fmt.Errorf("qp: opgraph %q: chain top %q missing", g.ID, topID)
 	}

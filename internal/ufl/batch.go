@@ -3,6 +3,7 @@ package ufl
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -153,40 +154,8 @@ func DecodeAdmitsFrom(r *wire.Reader) ([]string, error) {
 // dissemination path report how much structural duplication a workload
 // carries.
 func (g *Opgraph) Signature(queryID string) uint64 {
-	h := uint64(14695981039346656037)
-	// Normalization is token-anchored, not a blind substring replace: a
-	// short query id ("fw") must not mangle unrelated text ("fwlogs").
-	// The id is replaced only when a value IS the id or starts with it
-	// followed by a separator (the "<id>.partial" / "<id>!op" rendezvous
-	// patterns the frontends generate).
-	norm := normalizer(queryID)
-	// Operator ids are normalized to their declaration index.
-	opIndex := make(map[string]string, len(g.Ops))
-	for i, op := range g.Ops {
-		opIndex[op.ID] = fmt.Sprintf("#%d", i)
-	}
-	h = sigStr(h, g.Dissem.Mode)
-	h = sigStr(h, norm(g.Dissem.Namespace))
-	h = sigStr(h, norm(g.Dissem.Key))
-	for _, op := range g.Ops {
-		h = sigStr(h, strings.ToLower(op.Kind))
-		keys := make([]string, 0, len(op.Args))
-		for k := range op.Args {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			h = sigStr(h, k)
-			h = sigStr(h, norm(canonArg(k, op.Args[k])))
-		}
-		h = sigStr(h, "|")
-	}
-	for _, e := range g.Edges {
-		h = sigStr(h, opIndex[e.From])
-		h = sigStr(h, opIndex[e.To])
-		h = sigStr(h, fmt.Sprintf("%d", e.Slot))
-	}
-	return h
+	graph, _ := g.Signatures(queryID)
+	return graph
 }
 
 // SubtreeSignatures extends Signature from whole-graph to per-operator
@@ -213,22 +182,65 @@ func (g *Opgraph) Signature(queryID string) uint64 {
 // Cycles (which Validate does not forbid) fold a fixed marker instead of
 // recursing forever.
 func (g *Opgraph) SubtreeSignatures(queryID string) map[string]uint64 {
-	norm := normalizer(queryID)
-	// ctx folds the graph-level dissemination context into every subtree:
-	// chains running under different dissemination modes or rendezvous
-	// keys must not unify even when their op structure matches.
-	ctx := uint64(14695981039346656037)
-	ctx = sigStr(ctx, g.Dissem.Mode)
-	ctx = sigStr(ctx, norm(g.Dissem.Namespace))
-	ctx = sigStr(ctx, norm(g.Dissem.Key))
+	_, subtree := g.Signatures(queryID)
+	return subtree
+}
 
-	specs := make(map[string]*OpSpec, len(g.Ops))
+// Signatures returns Signature and SubtreeSignatures together, from one
+// pass that normalizes each op once (lowercased kind, sorted argument
+// keys, one canonArg per argument) and folds the normalized tokens into
+// both the whole-graph hash and the op's subtree head. The query
+// processor needs both for every opgraph it admits.
+//
+// The subtree map also holds ids that edges name but no op declares,
+// when a declared op's inputs reach them; a duplicated op id resolves
+// to its last declaration. Validate rejects both, but signatures must
+// not panic on malformed graphs.
+func (g *Opgraph) Signatures(queryID string) (graph uint64, subtree map[string]uint64) {
+	// ctx folds the graph-level dissemination context. It starts the
+	// whole-graph hash and every subtree, so chains running under
+	// different dissemination modes or rendezvous keys never unify even
+	// when their op structure matches.
+	ctx := sigStr(fnvOffset, g.Dissem.Mode)
+	ctx = sigStr(ctx, normalize(queryID, g.Dissem.Namespace))
+	ctx = sigStr(ctx, normalize(queryID, g.Dissem.Key))
+
+	// decl maps each op id to its declaration index and subtree head (ctx
+	// folded with the op's kind and arguments).
+	decl := make(map[string]sigOp, len(g.Ops))
+	graph = ctx
+	var keys []string
 	for i := range g.Ops {
-		specs[g.Ops[i].ID] = &g.Ops[i]
+		op := &g.Ops[i]
+		kind := strings.ToLower(op.Kind)
+		graph = sigStr(graph, kind)
+		head := sigStr(ctx, kind)
+		keys = keys[:0]
+		for k := range op.Args {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			v := normalize(queryID, canonArg(k, op.Args[k]))
+			graph = sigStr(sigStr(graph, k), v)
+			head = sigStr(sigStr(head, k), v)
+		}
+		graph = sigStr(graph, "|")
+		decl[op.ID] = sigOp{index: i, head: sigStr(head, "|")}
 	}
-	// inputs[id] lists the edges feeding op id, in declaration order.
+	// Edges fold with op ids normalized to their declaration index (the
+	// empty token for an undeclared op).
+	opToken := func(id string) string {
+		if d, ok := decl[id]; ok {
+			return "#" + strconv.Itoa(d.index)
+		}
+		return ""
+	}
 	inputs := make(map[string][]Edge, len(g.Ops))
 	for _, e := range g.Edges {
+		graph = sigStr(graph, opToken(e.From))
+		graph = sigStr(graph, opToken(e.To))
+		graph = sigStr(graph, strconv.Itoa(e.Slot))
 		inputs[e.To] = append(inputs[e.To], e)
 	}
 
@@ -237,78 +249,73 @@ func (g *Opgraph) SubtreeSignatures(queryID string) map[string]uint64 {
 		done     = 2
 	)
 	state := make(map[string]int, len(g.Ops))
-	sigs := make(map[string]uint64, len(g.Ops))
+	subtree = make(map[string]uint64, len(g.Ops))
 	var visit func(id string) uint64
 	visit = func(id string) uint64 {
 		switch state[id] {
 		case done:
-			return sigs[id]
+			return subtree[id]
 		case visiting:
 			// A cycle: fold a marker rather than recursing. The graph is
 			// malformed, but the signature must still terminate.
 			return sigStr(ctx, "\x00cycle\x00")
 		}
 		state[id] = visiting
-		h := ctx
-		spec, ok := specs[id]
+		d, ok := decl[id]
+		h := d.head
 		if !ok {
-			// Edge referencing an undeclared op (Validate rejects these,
-			// but signatures must not panic on malformed graphs).
-			h = sigStr(h, "\x00missing\x00")
-		} else {
-			h = sigStr(h, strings.ToLower(spec.Kind))
-			keys := make([]string, 0, len(spec.Args))
-			for k := range spec.Args {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				h = sigStr(h, k)
-				h = sigStr(h, norm(canonArg(k, spec.Args[k])))
-			}
+			h = sigStr(sigStr(ctx, "\x00missing\x00"), "|")
 		}
-		h = sigStr(h, "|")
 		for _, e := range inputs[id] {
-			h = sigStr(h, fmt.Sprintf("%d", e.Slot))
+			h = sigStr(h, strconv.Itoa(e.Slot))
 			child := visit(e.From)
 			for i := 0; i < 8; i++ {
 				h ^= (child >> (8 * i)) & 0xff
-				h *= 1099511628211
+				h *= fnvPrime
 			}
 		}
 		state[id] = done
-		sigs[id] = h
+		subtree[id] = h
 		return h
 	}
-	for _, op := range g.Ops {
-		visit(op.ID)
+	for i := range g.Ops {
+		visit(g.Ops[i].ID)
 	}
-	return sigs
+	return graph, subtree
 }
 
-// normalizer returns the token-anchored query-id normalization Signature
+// sigOp is one declared op id inside Signatures: the index of its last
+// declaration and its subtree head.
+type sigOp struct {
+	index int
+	head  uint64
+}
+
+// FNV-1a parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// normalize applies the token-anchored query-id normalization Signature
 // documents: the id is replaced only when a value IS the id or starts
 // with it followed by a non-alphanumeric separator, so a short id ("fw")
 // cannot mangle unrelated text ("fwlogs").
-func normalizer(queryID string) func(string) string {
-	return func(s string) string {
-		if queryID == "" || s == "" {
-			return s
-		}
-		if s == queryID {
-			return "\x00q\x00"
-		}
-		if strings.HasPrefix(s, queryID) && len(s) > len(queryID) {
-			if c := s[len(queryID)]; !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
-				return "\x00q\x00" + s[len(queryID):]
-			}
-		}
+func normalize(queryID, s string) string {
+	if queryID == "" || s == "" {
 		return s
 	}
+	if s == queryID {
+		return "\x00q\x00"
+	}
+	if strings.HasPrefix(s, queryID) && len(s) > len(queryID) {
+		if c := s[len(queryID)]; !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
+			return "\x00q\x00" + s[len(queryID):]
+		}
+	}
+	return s
 }
 
-// sigStr folds one string (plus a terminator, so "ab"+"c" differs from
-// "a"+"bc") into an FNV-1a accumulator.
 // canonArg normalizes one op-argument value before hashing. Predicate
 // arguments pass through expr's structural canonicalization, so
 // human-authored operand orderings ("a>1 AND b<2" vs "b<2 AND a>1",
@@ -321,12 +328,14 @@ func canonArg(key, val string) string {
 	return expr.CanonicalString(val)
 }
 
+// sigStr folds one string (plus a terminator, so "ab"+"c" differs from
+// "a"+"bc") into an FNV-1a accumulator.
 func sigStr(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	h ^= 0xff
-	h *= 1099511628211
+	h *= fnvPrime
 	return h
 }
